@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity bench benchgate benchrecord gobench figures trace-smoke par-smoke serve-smoke history-smoke
+.PHONY: build test race vet compilerdiag baseline concsurface concbaseline parsafe parsafebaseline check fuzz-cfg fuzz-purity fuzz-sched bench benchgate benchrecord gobench figures trace-smoke par-smoke serve-smoke history-smoke
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,12 @@ fuzz-cfg:
 # without panicking.
 fuzz-purity:
 	$(GO) test ./internal/analysis/purity -fuzz=FuzzSummarize -fuzztime=30s
+
+# Short fuzz pass over the event-driven scheduler: random valid bodies
+# must schedule exactly as the cycle-stepped reference in
+# internal/perfmodel/sched_ref_test.go does.
+fuzz-sched:
+	$(GO) test ./internal/perfmodel -run '^$$' -fuzz=FuzzScheduleEquivalence -fuzztime=30s
 
 # Run the registered workloads through the orchestrator and store
 # BENCH_ookami.json (warmup + repeats, CoV interference gate, bootstrap

@@ -1,0 +1,36 @@
+package perfmodel_test
+
+import (
+	"testing"
+
+	"ookami/internal/machine"
+	pm "ookami/internal/perfmodel"
+	"ookami/internal/toolchain"
+)
+
+// heaviestBody is the model core's most expensive input: the Fujitsu pow
+// loop on A64FX, 139 instructions.
+func heaviestBody(b *testing.B) (*pm.Profile, pm.Body) {
+	p, _ := pm.ProfileFor(machine.A64FX.Name)
+	c := toolchain.Fujitsu.Compile(toolchain.LoopPow, machine.A64FX)
+	if len(c.Body) != 139 {
+		b.Fatalf("Fujitsu pow body has %d instructions, want 139", len(c.Body))
+	}
+	return p, c.Body
+}
+
+func BenchmarkSchedule(b *testing.B) {
+	p, body := heaviestBody(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Schedule(body, 128)
+	}
+}
+
+func BenchmarkCyclesPerIter(b *testing.B) {
+	p, body := heaviestBody(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.CyclesPerIter(body)
+	}
+}

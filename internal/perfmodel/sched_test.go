@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -188,6 +189,21 @@ func TestWindowLimitsOverlap(t *testing.T) {
 	}
 }
 
+func TestWindowWiderThanRun(t *testing.T) {
+	// A window wider than the whole run admits the whole run: it must
+	// schedule like a window of exactly the run's size, without sizing
+	// any state by the window.
+	body := Body{I(LOAD), I(FMA, 0), IC(FADD, []int{1}, []int{2}), I(STORE, 2)}
+	const iters = 50
+	exact := A64FXProfile
+	exact.Window = len(body) * iters
+	huge := A64FXProfile
+	huge.Window = 1 << 40
+	if got, want := huge.Schedule(body, iters), exact.Schedule(body, iters); got != want {
+		t.Errorf("window 1<<40: %d cycles, window %d: %d", got, exact.Window, want)
+	}
+}
+
 func TestInvalidBodyPanics(t *testing.T) {
 	p := A64FXProfile
 	defer func() {
@@ -244,5 +260,43 @@ func TestCostOfDefault(t *testing.T) {
 	p := A64FXProfile
 	if c := p.CostOf(CALL); c.Latency != 1 || c.Occupancy != 1 {
 		t.Errorf("default cost = %+v", c)
+	}
+}
+
+func TestCycleCapPanicsLoudly(t *testing.T) {
+	// Three FSQRTs that each hold the divider pipe for 1<<25 cycles: the
+	// third cannot issue before cycle 1<<26, the cap. A truncated
+	// completion time must not come back silently.
+	p := &Profile{
+		Name: "slow-sqrt", FPPipes: 1, LoadPipes: 1, StorePipes: 1, IntPipes: 1,
+		IssueWidth: 1, Window: 4,
+		Costs: map[Op]Cost{FSQRT: {Latency: 1, Occupancy: 1 << 25}},
+	}
+	body := Body{I(FSQRT), I(INT)}
+	runs := []struct {
+		name string
+		run  func()
+	}{
+		{"Schedule", func() { p.Schedule(body, 3) }},
+		{"ScheduleTrace", func() { p.ScheduleTrace(body, 3) }},
+		{"CyclesPerIter", func() { p.CyclesPerIter(body) }},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{"slow-sqrt", "2-instruction body", "cycle cap"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("panic %q does not mention %q", msg, want)
+					}
+				}
+			}()
+			r.run()
+		})
+	}
+	// Two FSQRTs fit: the second issues at 1<<25 and completes one cycle
+	// later.
+	if got := p.Schedule(body, 2); got != 1<<25+1 {
+		t.Errorf("two slow FSQRTs: %d cycles, want %d", got, 1<<25+1)
 	}
 }

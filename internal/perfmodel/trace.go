@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// Scheduler introspection: the same simulation as Schedule, but returning
-// the full issue trace and a utilization summary — the tool for
-// understanding *why* a kernel costs what it costs (which pipe saturates,
-// how much of the window is dependence-stalled).
+// Scheduler introspection: the shared scheduler core of sched.go, run
+// once and read back as the full issue trace and a utilization summary —
+// the tool for understanding *why* a kernel costs what it costs (which
+// pipe saturates, how much of the window is dependence-stalled).
 
 // IssueEvent records one instruction's passage through the model.
 type IssueEvent struct {
@@ -30,124 +30,40 @@ type Utilization struct {
 }
 
 // ScheduleTrace simulates iters iterations of body and returns the issue
-// trace plus utilization. Semantics are identical to Schedule (same
-// algorithm, instrumented).
+// trace plus utilization. It runs the same core as Schedule, so
+// util.Cycles always equals Schedule(body, iters).
 func (p *Profile) ScheduleTrace(body Body, iters int) ([]IssueEvent, Utilization) {
 	if len(body) == 0 || iters == 0 {
 		return nil, Utilization{}
 	}
-	if !body.Validate() {
-		panic("perfmodel: invalid body")
-	}
+	s := newSchedCore(p, body, iters)
 	n := len(body)
-	total := n * iters
-	instrs := make([]schedInstr, total)
-	for k := 0; k < iters; k++ {
-		off := k * n
-		for i, ins := range body {
-			si := schedInstr{op: ins.Op, done: -1}
-			for _, d := range ins.Deps {
-				si.deps = append(si.deps, off+d)
-			}
-			if k > 0 {
-				for _, c := range ins.Carried {
-					si.deps = append(si.deps, off-n+c)
-				}
-			}
-			instrs[off+i] = si
-		}
-	}
-	costs := p.costTab
-	if costs == nil {
-		costs = p.buildCostTable()
-	}
-	var busy [numPipeKinds][]int
-	busy[pipeFP] = make([]int, p.FPPipes)
-	busy[pipeLoad] = make([]int, p.LoadPipes)
-	busy[pipeStore] = make([]int, p.StorePipes)
-	busy[pipeInt] = make([]int, p.IntPipes)
-	events := make([]IssueEvent, total)
+	done := make([]int, n*iters)
+	last := s.run(iters, done)
+	events := make([]IssueEvent, len(done))
 	var util Utilization
-
-	head, tail, cycle := 0, 0, 0
-	const maxCycles = 1 << 26
-	for head < total && cycle < maxCycles {
-		for head < total && instrs[head].issued && instrs[head].done <= cycle {
-			head++
+	for gi, d := range done {
+		op := body[gi%n].Op
+		c := s.costs[op]
+		events[gi] = IssueEvent{
+			Iter: gi / n, Index: gi % n, Op: op,
+			Issue: d - c.Latency, Done: d,
 		}
-		for tail < total && tail-head < p.Window {
-			tail++
-		}
-		issued := 0
-		for gi := head; gi < tail && issued < p.IssueWidth; gi++ {
-			ins := &instrs[gi]
-			if ins.issued {
-				continue
-			}
-			ready := true
-			for _, d := range ins.deps {
-				dep := &instrs[d]
-				if !dep.issued || dep.done > cycle {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			kind := pipeTab[ins.op]
-			slots := busy[kind]
-			slot := -1
-			if ins.op == FDIV || ins.op == FSQRT {
-				if len(slots) > 0 && slots[0] <= cycle {
-					slot = 0
-				}
-			} else {
-				for s := range slots {
-					if s == 0 && kind == pipeFP && slots[0] > cycle {
-						continue
-					}
-					if slots[s] <= cycle {
-						slot = s
-						break
-					}
-				}
-			}
-			if slot < 0 {
-				continue
-			}
-			c := costs[ins.op]
-			slots[slot] = cycle + c.Occupancy
-			ins.issued = true
-			ins.done = cycle + c.Latency
-			events[gi] = IssueEvent{
-				Iter: gi / n, Index: gi % n, Op: ins.op,
-				Issue: cycle, Done: ins.done,
-			}
-			switch kind {
-			case pipeFP:
-				util.FPBusy += c.Occupancy
-			case pipeLoad:
-				util.LoadBusy += c.Occupancy
-			case pipeStore:
-				util.StoreBusy += c.Occupancy
-			default:
-				util.IntBusy += c.Occupancy
-			}
-			issued++
-		}
-		cycle++
-	}
-	last := 0
-	for i := range instrs {
-		if instrs[i].done > last {
-			last = instrs[i].done
+		switch pipeTab[op] {
+		case pipeFP:
+			util.FPBusy += c.Occupancy
+		case pipeLoad:
+			util.LoadBusy += c.Occupancy
+		case pipeStore:
+			util.StoreBusy += c.Occupancy
+		default:
+			util.IntBusy += c.Occupancy
 		}
 	}
 	util.Cycles = last
-	util.Instructions = total
+	util.Instructions = len(events)
 	if last > 0 {
-		util.IPC = float64(total) / float64(last)
+		util.IPC = float64(len(events)) / float64(last)
 	}
 	return events, util
 }
