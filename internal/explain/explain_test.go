@@ -1,6 +1,8 @@
 package explain
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -210,6 +212,74 @@ func TestRequestKeyCanonicalizes(t *testing.T) {
 	if a == c {
 		t.Error("different thread counts must not share a key")
 	}
+}
+
+// Predict clamps threads to the machine's cores, so the key must too:
+// otherwise every thread count above the cores is a distinct cache entry
+// for one and the same answer.
+func TestRequestKeyClampsThreadsToCores(t *testing.T) {
+	var keys []string
+	var bodies [][]byte
+	for _, threads := range []int{48, 49, 1000000} {
+		req := Request{Kernel: "CG", Toolchain: "Fujitsu", Threads: threads}
+		k, err := req.Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Predict(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, bodies = append(keys, k), append(bodies, body)
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[0] {
+			t.Errorf("keys differ: %q vs %q", keys[i], keys[0])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("bodies differ:\n%s\n%s", bodies[i], bodies[0])
+		}
+	}
+}
+
+// FuzzRequestKey checks the cache contract from both sides: equal keys
+// give byte-equal answers, and a request rebuilt from the canonical
+// answer has the original's key.
+func FuzzRequestKey(f *testing.F) {
+	f.Add("exp", "fujitsu", "", 0, 0, "EXP", "Fujitsu", "ookami", 1, DefaultElems)
+	f.Add("CG", "Fujitsu", "", 48, 0, "cg", "fujitsu", "", 1000000, 7)
+	f.Add("gather", "GNU", "", 3, 100, "Gather", "gnu", "", 3, 100)
+	f.Fuzz(func(t *testing.T, k1, tc1, m1 string, th1, el1 int, k2, tc2, m2 string, th2, el2 int) {
+		a := Request{Kernel: k1, Toolchain: tc1, Machine: m1, Threads: th1, Elems: el1}
+		b := Request{Kernel: k2, Toolchain: tc2, Machine: m2, Threads: th2, Elems: el2}
+		ka, errA := a.Key()
+		kb, errB := b.Key()
+		if errA != nil || errB != nil {
+			return
+		}
+		pa, err := Predict(a)
+		if err != nil {
+			return // Key does not compile the loop; Predict may still refuse
+		}
+		ja, _ := json.Marshal(pa)
+		if ka == kb {
+			pb, err := Predict(b)
+			if err != nil {
+				t.Fatalf("equal keys %q: Predict(a) ok, Predict(b) %v", ka, err)
+			}
+			if jb, _ := json.Marshal(pb); !bytes.Equal(ja, jb) {
+				t.Fatalf("equal keys %q, different answers:\n%s\n%s", ka, ja, jb)
+			}
+		}
+		canon := Request{Kernel: pa.Kernel, Toolchain: pa.Toolchain, Machine: pa.Machine, Threads: pa.Threads, Elems: pa.Elems}
+		if kc, err := canon.Key(); err != nil || kc != ka {
+			t.Fatalf("canonical request %+v: key %q (%v), original %q", canon, kc, err, ka)
+		}
+	})
 }
 
 func TestDiscoveryLists(t *testing.T) {

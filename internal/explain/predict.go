@@ -137,58 +137,63 @@ func resolveApp(name string) (string, bool) {
 	return "", false
 }
 
-// resolve validates a request and returns the canonical toolchain and
-// machine. The kernel is resolved by the caller (loop vs app).
-func resolve(req Request) (toolchain.Toolchain, machine.Machine, error) {
+// query is a request in canonical form: names resolved, defaults
+// applied and threads clamped to the machine's cores. Key prints it and
+// Predict evaluates it, so two requests with equal keys get the same
+// answer by construction.
+type query struct {
+	tc      toolchain.Toolchain
+	m       machine.Machine
+	threads int
+	kernel  string         // canonical loop or application name
+	loop    toolchain.Loop // loop kernels
+	app     bool           // kernel names an NPB application
+	elems   int            // loop kernels; zero for applications
+}
+
+// resolve validates a request and returns its canonical form.
+func resolve(req Request) (query, error) {
 	tc, ok := resolveToolchain(req.Toolchain)
 	if !ok {
-		return toolchain.Toolchain{}, machine.Machine{}, &UnknownError{Kind: "toolchain", Name: req.Toolchain}
+		return query{}, &UnknownError{Kind: "toolchain", Name: req.Toolchain}
 	}
 	var m machine.Machine
 	if req.Machine == "" {
 		m = DefaultMachine(tc)
 	} else if m, ok = MachineByName(req.Machine); !ok {
-		return toolchain.Toolchain{}, machine.Machine{}, &UnknownError{Kind: "machine", Name: req.Machine}
+		return query{}, &UnknownError{Kind: "machine", Name: req.Machine}
 	}
 	if !tc.Supports(m) {
-		return toolchain.Toolchain{}, machine.Machine{}, &BadRequestError{
+		return query{}, &BadRequestError{
 			Msg: fmt.Sprintf("toolchain %s (%s) does not target machine %s (%s)", tc.Name, tc.ForISA, m.Name, m.ISA)}
 	}
 	if req.Threads < 0 {
-		return toolchain.Toolchain{}, machine.Machine{}, &BadRequestError{Msg: "threads must be >= 0"}
+		return query{}, &BadRequestError{Msg: "threads must be >= 0"}
 	}
 	if req.Elems < 0 {
-		return toolchain.Toolchain{}, machine.Machine{}, &BadRequestError{Msg: "elems must be >= 0"}
+		return query{}, &BadRequestError{Msg: "elems must be >= 0"}
 	}
-	return tc, m, nil
+	q := query{tc: tc, m: m, threads: min(max(req.Threads, 1), m.Cores)}
+	if l, ok := FindLoop(req.Kernel); ok {
+		q.kernel, q.loop, q.elems = l.String(), l, req.Elems
+		if q.elems == 0 {
+			q.elems = DefaultElems
+		}
+	} else if q.kernel, q.app = resolveApp(req.Kernel); !q.app {
+		return query{}, &UnknownError{Kind: "kernel", Name: req.Kernel}
+	}
+	return q, nil
 }
 
 // Key is the canonical cache key of a request: the full resolved input
 // tuple, including defaults. Two requests with equal keys are guaranteed
 // byte-identical answers, which is the serve cache's contract.
 func (req Request) Key() (string, error) {
-	tc, m, err := resolve(req)
+	q, err := resolve(req)
 	if err != nil {
 		return "", err
 	}
-	threads := req.Threads
-	if threads == 0 {
-		threads = 1
-	}
-	var kernel string
-	var elems int
-	if l, ok := FindLoop(req.Kernel); ok {
-		kernel = l.String()
-		elems = req.Elems
-		if elems == 0 {
-			elems = DefaultElems
-		}
-	} else if n, ok := resolveApp(req.Kernel); ok {
-		kernel = n
-	} else {
-		return "", &UnknownError{Kind: "kernel", Name: req.Kernel}
-	}
-	return fmt.Sprintf("%s|%s|%s|%s|%d|%d", kernel, tc.Name, tc.Version, m.Name, threads, elems), nil
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%d", q.kernel, q.tc.Name, q.tc.Version, q.m.Name, q.threads, q.elems), nil
 }
 
 // Predict answers one what-if query. The result is deterministic in the
@@ -197,33 +202,20 @@ func (req Request) Key() (string, error) {
 //
 //ookami:pure model evaluation over read-only registries
 func Predict(req Request) (Prediction, error) {
-	tc, m, err := resolve(req)
+	q, err := resolve(req)
 	if err != nil {
 		return Prediction{}, err
 	}
-	threads := req.Threads
-	if threads == 0 {
-		threads = 1
+	if q.app {
+		return predictApp(q.tc, q.kernel, q.m, q.threads), nil
 	}
-	if threads > m.Cores {
-		threads = m.Cores
-	}
-	if l, ok := FindLoop(req.Kernel); ok {
-		return predictLoop(tc, l, m, threads, req.Elems)
-	}
-	if name, ok := resolveApp(req.Kernel); ok {
-		return predictApp(tc, name, m, threads), nil
-	}
-	return Prediction{}, &UnknownError{Kind: "kernel", Name: req.Kernel}
+	return predictLoop(q.tc, q.loop, q.m, q.threads, q.elems)
 }
 
 // predictLoop models a loop kernel: the instruction-level schedule gives
 // the compute rate, the traffic table and the NUMA-aware bandwidth model
 // give the memory side, and the roofline combine takes the max.
 func predictLoop(tc toolchain.Toolchain, l toolchain.Loop, m machine.Machine, threads, elems int) (Prediction, error) {
-	if elems == 0 {
-		elems = DefaultElems
-	}
 	r, err := Explain(tc, l, m)
 	if err != nil {
 		return Prediction{}, &BadRequestError{Msg: err.Error()}

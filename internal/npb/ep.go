@@ -15,7 +15,10 @@ import (
 // Box–Muller polar method, and histogram max(|X|,|Y|) into ten annuli.
 // This implementation follows the NPB spec exactly, including the chunked
 // stream partitioning via the LCG's O(log n) jump-ahead, so results are
-// identical for any thread count.
+// identical for any thread count. Like ep.f, which fills a batch with
+// vranlc before its acceptance loop, it works on batches of epBatch
+// pairs: fill the uniforms, compact the accepted pairs, then take the
+// logs, square roots and sums as separate passes over the batch.
 type EP struct{}
 
 // NewEP returns the EP benchmark.
@@ -40,8 +43,14 @@ func epM(c Class) uint {
 	}
 }
 
-// epChunkLog is the log2 of the batch size (NPB uses 2^16 pairs per batch).
+// epChunkLog is the log2 of the chunk size (NPB uses 2^16 pairs per
+// chunk): the unit of stream partitioning across threads.
 const epChunkLog = 16
+
+// epBatch is the number of pairs a worker processes per pass. ep.f
+// fills a whole chunk at once; a batch keeps a worker's arrays at 48 KB,
+// small enough to stay in cache from one pass to the next.
+const epBatch = 1024
 
 // EPOutput carries the benchmark's raw outputs for verification.
 type EPOutput struct {
@@ -52,7 +61,11 @@ type EPOutput struct {
 
 // RunFull executes EP and returns the full output (Run wraps this).
 func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
-	m := epM(c)
+	return runEP(epM(c), team)
+}
+
+// runEP runs EP over 2^m pairs.
+func runEP(m uint, team *omp.Team) EPOutput {
 	nPairs := uint64(1) << m
 	nChunks := int(nPairs >> epChunkLog)
 	if nChunks == 0 {
@@ -60,48 +73,68 @@ func (e *EP) RunFull(c Class, team *omp.Team) EPOutput {
 	}
 	pairsPerChunk := nPairs / uint64(nChunks)
 
-	type partial struct {
-		sx, sy float64
-		q      [10]float64
-		pairs  float64
-	}
 	// One partial per chunk, merged in chunk order afterwards, so the
 	// result is bitwise identical for every thread count.
-	parts := make([]partial, nChunks)
+	parts := make([]EPOutput, nChunks)
 	team.ForRange(0, nChunks, omp.Static, 0, func(a, b int) {
+		var u [2 * epBatch]float64          // uniforms, x and y interleaved
+		var xs, ys, ts, fs [epBatch]float64 // accepted pairs, compacted
 		for chunk := a; chunk < b; chunk++ {
-			p := &parts[chunk]
 			// Position an independent generator at this chunk's offset:
 			// each pair consumes two numbers.
 			g := rng.At(rng.DefaultSeed, 2*uint64(chunk)*pairsPerChunk)
-			for i := uint64(0); i < pairsPerChunk; i++ {
-				x := 2*g.Next() - 1
-				y := 2*g.Next() - 1
-				t := x*x + y*y
-				if t > 1 {
-					continue
+			var sx, sy float64
+			var q [10]uint64
+			for left := pairsPerChunk; left > 0; {
+				nb := int(min(left, epBatch))
+				left -= uint64(nb)
+				g.Fill(u[:2*nb])
+				// Form the pairs and keep those inside the unit disc, in
+				// order: every pair is stored, but k advances only past
+				// accepted ones, so there is no branch to mispredict.
+				// k <= i < epBatch, so the mask never changes k; it only
+				// proves the bound to the compiler.
+				k := 0
+				for i := range nb {
+					x := 2*u[2*i] - 1
+					y := 2*u[2*i+1] - 1
+					t := x*x + y*y
+					xs[k&(epBatch-1)], ys[k&(epBatch-1)], ts[k&(epBatch-1)] = x, y, t
+					if t <= 1 {
+						k++
+					}
 				}
-				f := math.Sqrt(-2 * math.Log(t) / t)
-				gx, gy := x*f, y*f
-				l := int(math.Max(math.Abs(gx), math.Abs(gy)))
-				if l > 9 {
-					l = 9
+				acc := ts[:k]
+				for j, t := range acc {
+					fs[j] = math.Log(t)
 				}
-				p.q[l]++
-				p.sx += gx
-				p.sy += gy
-				p.pairs++
+				for j, t := range acc {
+					fs[j] = math.Sqrt(-2 * fs[j] / t)
+				}
+				for j := range acc {
+					gx, gy := xs[j]*fs[j], ys[j]*fs[j]
+					l := uint(max(math.Abs(gx), math.Abs(gy)))
+					q[min(l, 9)]++
+					sx += gx
+					sy += gy
+				}
+			}
+			p := &parts[chunk]
+			p.SX, p.SY = sx, sy
+			for l, n := range q {
+				p.Q[l] = float64(n)
+				p.Pairs += float64(n)
 			}
 		}
 	})
 
 	var out EPOutput
 	for i := range parts {
-		out.SX += parts[i].sx
-		out.SY += parts[i].sy
-		out.Pairs += parts[i].pairs
+		out.SX += parts[i].SX
+		out.SY += parts[i].SY
+		out.Pairs += parts[i].Pairs
 		for l := 0; l < 10; l++ {
-			out.Q[l] += parts[i].q[l]
+			out.Q[l] += parts[i].Q[l]
 		}
 	}
 	return out

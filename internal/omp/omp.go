@@ -47,7 +47,10 @@ func (s Schedule) String() string {
 	return "Schedule(?)"
 }
 
-// Team is a reusable group of worker threads of fixed size.
+// Team is a thread count for parallel regions, not a pool: every region
+// spawns fresh goroutines and waits for them, as if each region forked
+// and joined its own OpenMP team. A region's fixed cost is therefore a
+// goroutine start per worker (on the order of a microsecond).
 type Team struct {
 	n int
 }

@@ -32,21 +32,51 @@ func NewLCG(seed uint64) *LCG {
 	return &LCG{state: seed & lcgMask}
 }
 
-// mul46 computes (a*b) mod 2^46. uint64 multiplication overflows for
-// 46-bit operands, so split as NPB's randlc does (23+23 bits).
+// mul46 computes (a*b) mod 2^46. The uint64 product wraps mod 2^64,
+// and 2^46 divides 2^64, so its low 46 bits are exact — one multiply
+// where NPB's double-precision randlc needs a 23+23-bit split.
 func mul46(a, b uint64) uint64 {
-	const half = 1 << 23
-	a1, a2 := a/half, a%half
-	b1, b2 := b/half, b%half
-	t := (a1*b2 + a2*b1) % (1 << 23) // high cross terms mod 2^23
-	return (t*half + a2*b2) & lcgMask
+	return a * b & lcgMask
 }
+
+// Powers of the multiplier for Fill's four interleaved sub-streams.
+const (
+	lcgA2 = lcgA * lcgA % lcgMod
+	lcgA3 = lcgA2 * lcgA % lcgMod
+	lcgA4 = lcgA3 * lcgA % lcgMod
+)
+
+// uniform converts a 46-bit state to a double in (0, 1). The state fits
+// in an int64, whose conversion is one instruction; the value is the
+// same as float64(s).
+func uniform(s uint64) float64 { return float64(int64(s)) * r46 }
 
 // Next advances the state once and returns a uniform double in (0, 1),
 // exactly NPB's randlc.
 func (g *LCG) Next() float64 {
 	g.state = mul46(lcgA, g.state)
-	return float64(g.state) * r46
+	return uniform(g.state)
+}
+
+// Fill writes len(dst) successive uniforms into dst and leaves the
+// generator where len(dst) calls to Next would — NPB's vranlc. Each
+// group of four is computed from the state before it with multipliers
+// a, a^2, a^3 and a^4, so the four multiplies are independent and the
+// serial chain is one multiply per four values instead of one per value.
+func (g *LCG) Fill(dst []float64) {
+	s := g.state
+	for ; len(dst) >= 4; dst = dst[4:] {
+		dst[0] = uniform(mul46(lcgA, s))
+		dst[1] = uniform(mul46(lcgA2, s))
+		dst[2] = uniform(mul46(lcgA3, s))
+		s = mul46(lcgA4, s)
+		dst[3] = uniform(s)
+	}
+	for i := range dst {
+		s = mul46(lcgA, s)
+		dst[i] = uniform(s)
+	}
+	g.state = s
 }
 
 // State returns the current 46-bit state.

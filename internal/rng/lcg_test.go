@@ -2,48 +2,82 @@ package rng
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
 
+// bigMul46 is the independent reference for mul46: the exact product
+// in arbitrary precision, reduced mod 2^46.
+func bigMul46(a, b uint64) uint64 {
+	p := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+	return p.Mod(p, big.NewInt(lcgMod)).Uint64()
+}
+
 func TestMul46MatchesBigArithmetic(t *testing.T) {
-	// Cross-check the split multiplication against direct computation in
-	// the range where uint64 does not overflow.
-	cases := [][2]uint64{{3, 5}, {1 << 20, 1 << 20}, {lcgA, 271828183}, {lcgMask, 2}}
+	// Operands whose full product overflows 64 bits, where mod 2^64
+	// wrap-around must still leave the low 46 bits exact.
+	cases := [][2]uint64{{3, 5}, {1 << 20, 1 << 20}, {lcgA, 271828183}, {lcgMask, 2},
+		{lcgMask, lcgMask}, {lcgA4, lcgMask - 1}, {1 << 45, 1 << 45}}
 	for _, c := range cases {
-		// Direct mod-2^46 product via 128-bit decomposition.
-		hi, lo := bits128Mul(c[0], c[1])
-		_ = hi
-		want := lo & lcgMask
-		if got := mul46(c[0], c[1]); got != want {
+		if got, want := mul46(c[0], c[1]), bigMul46(c[0], c[1]); got != want {
 			t.Errorf("mul46(%d,%d) = %d want %d", c[0], c[1], got, want)
 		}
 	}
-}
-
-func bits128Mul(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 func TestMul46Property(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a &= lcgMask
 		b &= lcgMask
-		_, lo := bits128Mul(a, b)
-		return mul46(a, b) == lo&lcgMask
+		return mul46(a, b) == bigMul46(a, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestFillMatchesNext(t *testing.T) {
+	skipped := NewLCG(DefaultSeed)
+	skipped.Skip(123457)
+	starts := map[string]uint64{"seed": DefaultSeed & lcgMask, "skipped": skipped.State()}
+	for name, start := range starts {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 1023, 1024, 2049} {
+			seq := &LCG{state: start}
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = seq.Next()
+			}
+			fill := &LCG{state: start}
+			got := make([]float64, n)
+			fill.Fill(got)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: Fill(%d)[%d] = %v, Next gives %v", name, n, i, got[i], want[i])
+				}
+			}
+			if fill.State() != seq.State() {
+				t.Errorf("%s: Fill(%d) ends in state %d, %d calls to Next in %d", name, n, fill.State(), n, seq.State())
+			}
+		}
+	}
+}
+
+func BenchmarkLCGNext(b *testing.B) {
+	g := NewLCG(DefaultSeed)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += g.Next()
+	}
+	_ = sink
+}
+
+func BenchmarkLCGFill(b *testing.B) {
+	g := NewLCG(DefaultSeed)
+	buf := make([]float64, 2048)
+	b.SetBytes(int64(8 * len(buf)))
+	for i := 0; i < b.N; i++ {
+		g.Fill(buf)
 	}
 }
 
