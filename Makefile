@@ -17,16 +17,17 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ookami-vet ./...
 
-# Diff the compiler's escape/BCE diagnostics for the kernel packages
-# against the checked-in baseline; fails on any new diagnostic in a hot
-# function.
+# Diff the compiler's escape/BCE diagnostics for every package against
+# the checked-in baseline; fails on any new diagnostic in a hot function.
+# The whole tree, not the default kernel-package scope, so that hot
+# functions outside the kernels (internal/trace) are gated too.
 compilerdiag:
-	$(GO) run ./cmd/ookami-vet -compilerdiag
+	$(GO) run ./cmd/ookami-vet -compilerdiag ./...
 
 # Re-record the compilerdiag baseline after an intentional codegen
 # change. The resulting JSON diff is part of the PR under review.
 baseline:
-	$(GO) run ./cmd/ookami-vet -compilerdiag -update-baseline
+	$(GO) run ./cmd/ookami-vet -compilerdiag -update-baseline ./...
 
 # Diff the concurrency surface (goroutine spawns, lock acquisitions,
 # channel makes) of the simulated-runtime packages against the
@@ -56,7 +57,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ookami-vet ./...
-	$(GO) run ./cmd/ookami-vet -compilerdiag
+	$(GO) run ./cmd/ookami-vet -compilerdiag ./...
 	$(GO) run ./cmd/ookami-vet -concsurface
 	$(GO) run ./cmd/ookami-vet -parsafe
 

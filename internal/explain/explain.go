@@ -152,8 +152,8 @@ func Machines() []MachineInfo {
 	return out
 }
 
-// Breakdown is the typed schedule breakdown of a vectorized loop — the
-// structured form of perfmodel.Explain's text.
+// Breakdown is the typed schedule breakdown of a vectorized loop: its
+// steady-state cost, pipe utilization and critical instruction.
 type Breakdown struct {
 	Instructions   int     `json:"instructions"`
 	FPInstructions int     `json:"fpInstructions"`
@@ -174,17 +174,14 @@ type Breakdown struct {
 	CriticalOp    string `json:"criticalOp,omitempty"`
 }
 
-// breakdownIters matches perfmodel.Explain's trace length so the typed
-// numbers and the legacy text agree exactly.
-const breakdownIters = 64
-
 // NewBreakdown runs the instrumented scheduler over a compiled loop body
-// and returns the typed breakdown.
+// and returns the typed breakdown. Utilization and the critical
+// instruction come from the traced perfmodel.SteadyIters-iteration run,
+// which also serves as CyclesPerIter's shorter run.
 //
 //ookami:pure instrumented schedule of a fresh body
 func NewBreakdown(p *perfmodel.Profile, body perfmodel.Body, elemsPerIter int) Breakdown {
-	events, util := p.ScheduleTrace(body, breakdownIters)
-	cpi := p.CyclesPerIter(body)
+	events, util, cpi := p.SteadyTrace(body)
 	b := Breakdown{
 		Instructions:   len(body),
 		FPInstructions: body.CountFP(),
@@ -202,7 +199,7 @@ func NewBreakdown(p *perfmodel.Profile, body perfmodel.Body, elemsPerIter int) B
 	if elemsPerIter > 0 {
 		b.CyclesPerElem = cpi / float64(elemsPerIter)
 	}
-	mid := breakdownIters / 2
+	mid := perfmodel.SteadyIters / 2
 	latest := -1
 	for _, e := range events {
 		if e.Iter == mid && e.Done > latest {
@@ -216,8 +213,8 @@ func NewBreakdown(p *perfmodel.Profile, body perfmodel.Body, elemsPerIter int) B
 	return b
 }
 
-// Text renders the breakdown in perfmodel.Explain's format (byte-for-byte
-// — the CLI's golden tests pin it).
+// Text renders the breakdown as cmd/ookami-explain prints it (the CLI's
+// golden tests pin it byte for byte).
 func (b Breakdown) Text() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "body: %d instructions (%d FP), window %d, issue %d\n",
@@ -239,13 +236,13 @@ func (b Breakdown) Text() string {
 // compiled a loop for a machine, and what the schedule model says about
 // the result.
 type Result struct {
-	Toolchain string   `json:"toolchain"`
-	Version   string   `json:"version"`
-	Flags     string   `json:"flags"`
-	Loop      string   `json:"loop"`
-	Machine   string   `json:"machine"`
-	Report    []string `json:"report"` // the compiler's vectorization report
-	Vectorized bool    `json:"vectorized"`
+	Toolchain  string   `json:"toolchain"`
+	Version    string   `json:"version"`
+	Flags      string   `json:"flags"`
+	Loop       string   `json:"loop"`
+	Machine    string   `json:"machine"`
+	Report     []string `json:"report"` // the compiler's vectorization report
+	Vectorized bool     `json:"vectorized"`
 	// SerialCyclesPerElem is set instead of Breakdown when the loop stayed
 	// scalar (GNU's math loops on SVE).
 	SerialCyclesPerElem float64    `json:"serialCyclesPerElem,omitempty"`

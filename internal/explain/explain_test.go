@@ -13,21 +13,41 @@ import (
 	"ookami/internal/toolchain"
 )
 
-// The typed breakdown must render exactly what perfmodel.Explain renders:
-// the CLI's golden files pin the text, this pins the typed layer under it.
-func TestBreakdownTextMatchesPerfmodelExplain(t *testing.T) {
-	for _, tc := range toolchain.OnA64FX {
-		for _, l := range AllLoops {
-			c := tc.Compile(l, machine.A64FX)
-			if !c.Vectorized {
+// NewBreakdown reads cycles/iter off the traced run it shares with
+// CyclesPerIter; the numbers must be exactly those of the separate
+// perfmodel calls. The CLI's golden files pin the rendered text.
+func TestBreakdownMatchesDirectSchedule(t *testing.T) {
+	for _, m := range []machine.Machine{machine.A64FX, machine.SkylakeGold6140} {
+		prof, _ := perfmodel.ProfileFor(m.Name)
+		for _, tc := range toolchain.All {
+			if !tc.Supports(m) {
 				continue
 			}
-			prof, _ := perfmodel.ProfileFor(machine.A64FX.Name)
-			want := prof.Explain(c.Body, c.ElemsPerIter)
-			got := NewBreakdown(prof, c.Body, c.ElemsPerIter).Text()
-			if got != want {
-				t.Errorf("%s/%s: typed text diverged\n got: %q\nwant: %q", tc.Name, l, got, want)
+			for _, l := range AllLoops {
+				c := tc.Compile(l, m)
+				if !c.Vectorized {
+					continue
+				}
+				b := NewBreakdown(prof, c.Body, c.ElemsPerIter)
+				_, util := prof.ScheduleTrace(c.Body, perfmodel.SteadyIters)
+				cpi := prof.CyclesPerIter(c.Body)
+				if b.CyclesPerIter != cpi || b.CyclesPerElem != cpi/float64(c.ElemsPerIter) || b.IPC != util.IPC {
+					t.Errorf("%s/%s on %s: breakdown cycles/iter %v, cycles/elem %v, IPC %v; want %v, %v, %v",
+						tc.Name, l, m.Name, b.CyclesPerIter, b.CyclesPerElem, b.IPC, cpi, cpi/float64(c.ElemsPerIter), util.IPC)
+				}
 			}
+		}
+	}
+}
+
+func TestBreakdownTextRendersSections(t *testing.T) {
+	p := perfmodel.A64FXProfile
+	body := perfmodel.Body{perfmodel.I(perfmodel.LOAD), perfmodel.I(perfmodel.FMA, 0), perfmodel.I(perfmodel.FMA, 1),
+		perfmodel.I(perfmodel.STORE, 2), perfmodel.I(perfmodel.INT), perfmodel.I(perfmodel.BRANCH)}
+	out := NewBreakdown(&p, body, 8).Text()
+	for _, want := range []string{"cycles/iter", "cycles/element", "pipe utilization", "critical endpoint"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("breakdown text missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package perfmodel
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -41,6 +42,9 @@ import (
 //     width was used up, the clock jumps to the earliest of the heap head,
 //     the next pipe release, and the window head's completion (retiring it
 //     admits new work).
+//   - A loop reaches a steady state within a few iterations, and from
+//     then on repeats it; steady (steady.go) detects the repeat and
+//     extrapolates instead of simulating it.
 //
 // Schedule, CyclesPerIter and ScheduleTrace all run on this one core.
 
@@ -149,12 +153,33 @@ type schedCore struct {
 	ready    [numClasses][]uint64
 	anyReady []uint64
 	nready   int
-	busy     [numPipeKinds][]int
+	// busy holds each pipe's busy-until cycle, per kind; pipes is the
+	// flat array the kinds slice.
+	busy  [numPipeKinds][]int
+	pipes []int
+
+	// The run in progress, kept here between advance calls: total
+	// instructions, the oldest in-flight one, the next to enter the
+	// window, the next whose slot is not yet initialized, the clock,
+	// instructions left to issue, the latest completion, and the cycle
+	// of the latest loop top (a finished run's last loop top issued its
+	// final instruction). advance stops at the first loop top where head
+	// has reached checkAt.
+	total, head, tail, front int
+	cycle, left, last, top   int
+	checkAt                  int
+
+	// snaps are steady's saved states: a period candidate and a fork.
+	// probe is the slot where a comparison with the candidate last
+	// failed; period and periodCycles are the repeat found, 0 if none.
+	snaps                [2]snapshot
+	probe                int
+	period, periodCycles int
 }
 
 // slotState is one in-flight instruction's state.
 type slotState struct {
-	op      Op
+	op      uint8 // the instruction's Op
 	pending int32 // deps not yet issued
 	readyAt int   // latest done over the issued deps
 	done    int   // cycle the result is available; -1 = not issued
@@ -218,7 +243,8 @@ func newSchedCore(p *Profile, body Body, maxIters int) *schedCore {
 		s.ready[c], bitmaps = bitmaps[:words:words], bitmaps[words:]
 	}
 	s.anyReady = bitmaps
-	slots := make([]int, p.FPPipes+p.LoadPipes+p.StorePipes+p.IntPipes)
+	s.pipes = make([]int, p.FPPipes+p.LoadPipes+p.StorePipes+p.IntPipes)
+	slots := s.pipes
 	for k := pipeKind(0); k < numPipeKinds; k++ {
 		c := p.pipes(k)
 		s.busy[k], slots = slots[:c:c], slots[c:]
@@ -226,35 +252,66 @@ func newSchedCore(p *Profile, body Body, maxIters int) *schedCore {
 	return s
 }
 
-// run simulates iters iterations, at most the maxIters the core was built
-// for, and returns the cycle the last result is available. A non-nil trace (of length n*iters) receives every
-// instruction's completion cycle.
-func (s *schedCore) run(iters int, trace []int) int {
-	p, n, mask := s.p, len(s.body), s.mask
-	total := n * iters
+// runStatus says why advance returned.
+type runStatus int
+
+const (
+	runDone       runStatus = iota // every instruction has issued
+	runCheckpoint                  // head reached checkAt
+	runCapped                      // the clock reached maxCycles with work left
+)
+
+// start begins a run of iters iterations that stops nowhere on the way.
+func (s *schedCore) start(iters int) {
 	for c := range s.ready {
 		clear(s.ready[c])
 	}
 	clear(s.anyReady)
-	for k := range s.busy {
-		clear(s.busy[k])
-	}
+	clear(s.pipes)
 	s.heap = s.heap[:0]
 	s.nready = 0
+	s.total = len(s.body) * iters
+	s.head, s.tail, s.front = 0, 0, 0
+	s.cycle, s.left, s.last, s.top = 0, s.total, 0, 0
+	s.checkAt = math.MaxInt
+}
 
-	head := 0  // oldest in-flight instruction
-	tail := 0  // next instruction to enter the window
-	front := 0 // next instruction whose ring slot is not yet initialized
-	cycle, left, last := 0, total, 0
+// run simulates iters iterations, at most the maxIters the core was built
+// for, and returns the cycle the last result is available. A non-nil trace
+// (of length n*iters) receives every instruction's completion cycle.
+func (s *schedCore) run(iters int, trace []int) int {
+	s.start(iters)
+	if s.advance(trace) == runCapped {
+		panic(fmt.Sprintf("perfmodel: %s: %d-instruction body over %d iterations still has %d of %d instructions unissued at the %d-cycle cap",
+			s.p.Name, len(s.body), iters, s.left, s.total, maxCycles))
+	}
+	return s.last
+}
+
+// advance simulates from the current loop top until every instruction has
+// issued, the clock reaches maxCycles, or head reaches checkAt. That last
+// test comes right after retirement, before the loop top changes anything
+// else, so a caller may inspect or change the run there (its total, say)
+// and call advance again: retiring twice in a cycle is a no-op.
+func (s *schedCore) advance(trace []int) runStatus {
+	p, n, mask, total := s.p, len(s.body), s.mask, s.total
+	head, tail, front := s.head, s.tail, s.front
+	cycle, left, last, top := s.cycle, s.left, s.last, s.top
+	status := runDone
 	for left > 0 {
 		if cycle >= maxCycles {
-			panic(fmt.Sprintf("perfmodel: %s: %d-instruction body over %d iterations still has %d of %d instructions unissued at the %d-cycle cap",
-				p.Name, n, iters, left, total, maxCycles))
+			status = runCapped
+			break
 		}
 		// Retire completed instructions in order.
 		for head < tail && s.ring[head&mask].done >= 0 && s.ring[head&mask].done <= cycle {
 			head++
 		}
+		if head >= s.checkAt {
+			status = runCheckpoint
+			break
+		}
+		top = cycle
 		// Initialize the ring slots that the window, once refilled, and
 		// its consumers can reach; the slots they reuse belong to retired
 		// instructions. Then admit new instructions while there is room.
@@ -265,7 +322,7 @@ func (s *schedCore) run(iters int, trace []int) int {
 			if front >= n {
 				deps += len(ins.Carried)
 			}
-			s.ring[front&mask] = slotState{op: ins.Op, pending: int32(deps), done: -1}
+			s.ring[front&mask] = slotState{op: uint8(ins.Op), pending: int32(deps), done: -1}
 		}
 		for ; tail < total && tail-head < p.Window; tail++ {
 			if s.ring[tail&mask].pending == 0 {
@@ -287,7 +344,7 @@ func (s *schedCore) run(iters int, trace []int) int {
 				break
 			}
 			at := g & mask
-			op := s.ring[at].op
+			op := Op(s.ring[at].op)
 			cls := classTab[op]
 			slots := s.busy[pipeTab[op]]
 			slot := 0
@@ -342,11 +399,9 @@ func (s *schedCore) run(iters int, trace []int) int {
 			next = s.heap[0].at
 		}
 		if s.nready > 0 {
-			for _, slots := range &s.busy {
-				for _, b := range slots {
-					if b > cycle {
-						next = min(next, b)
-					}
+			for _, b := range s.pipes {
+				if b > cycle {
+					next = min(next, b)
 				}
 			}
 		}
@@ -355,7 +410,9 @@ func (s *schedCore) run(iters int, trace []int) int {
 		}
 		cycle = next
 	}
-	return last
+	s.head, s.tail, s.front = head, tail, front
+	s.cycle, s.left, s.last, s.top = cycle, left, last, top
+	return status
 }
 
 // freeClasses returns the mask of issue classes with a free pipe at cycle.
@@ -433,22 +490,34 @@ func (p *Profile) Schedule(body Body, iters int) int {
 	if len(body) == 0 || iters == 0 {
 		return 0
 	}
-	return newSchedCore(p, body, iters).run(iters, nil)
+	s := newSchedCore(p, body, iters)
+	tg := [1]target{{iters: iters}}
+	if !s.steady(tg[:]) {
+		return s.run(iters, nil)
+	}
+	return tg[0].t
 }
+
+// SteadyIters is the length of CyclesPerIter's shorter run; the longer
+// one is twice as long.
+const SteadyIters = 64
 
 // CyclesPerIter returns the steady-state cycles per loop iteration,
 // measured by differencing two long runs to cancel fill/drain effects.
 //
 //ookami:pure
 func (p *Profile) CyclesPerIter(body Body) float64 {
-	const k = 64
 	if len(body) == 0 {
 		return 0
 	}
-	s := newSchedCore(p, body, 2*k)
-	t1 := s.run(k, nil)
-	t2 := s.run(2*k, nil)
-	return float64(t2-t1) / float64(k)
+	s := newSchedCore(p, body, 2*SteadyIters)
+	tg := [2]target{{iters: SteadyIters}, {iters: 2 * SteadyIters}}
+	if !s.steady(tg[:]) {
+		// A run hits the cycle cap: rerun both in order, so the panic
+		// names the first that does.
+		tg[0].t, tg[1].t = s.run(SteadyIters, nil), s.run(2*SteadyIters, nil)
+	}
+	return float64(tg[1].t-tg[0].t) / SteadyIters
 }
 
 // CyclesPerElement is CyclesPerIter divided by the number of elements one

@@ -34,3 +34,33 @@ func BenchmarkCyclesPerIter(b *testing.B) {
 		p.CyclesPerIter(body)
 	}
 }
+
+// BenchmarkCyclesPerIterSuite prices every vectorized body of the loop
+// suite once per op ("all"), reporting the share whose schedule repeats
+// early enough to extrapolate, and each body on its own.
+func BenchmarkCyclesPerIterSuite(b *testing.B) {
+	suite := suiteBodies(b)
+	b.Run("all", func(b *testing.B) {
+		periodic := 0
+		for _, sb := range suite {
+			if iters, _ := sb.p.SteadyPeriod(sb.body); iters > 0 {
+				periodic++
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, sb := range suite {
+				sb.p.CyclesPerIter(sb.body)
+			}
+		}
+		b.ReportMetric(float64(periodic)/float64(len(suite)), "periodic/body")
+	})
+	for _, sb := range suite {
+		b.Run(sb.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sb.p.CyclesPerIter(sb.body)
+			}
+		})
+	}
+}

@@ -227,14 +227,54 @@ func TestScheduleMatchesReference(t *testing.T) {
 	}
 }
 
+// checkCyclesPerIter compares CyclesPerIter, which extrapolates once the
+// schedule repeats, with the reference's two full runs.
+func checkCyclesPerIter(t *testing.T, p *Profile, body Body) {
+	t.Helper()
+	_, short, capped := refScheduleTrace(p, body, SteadyIters)
+	_, long, cappedLong := refScheduleTrace(p, body, 2*SteadyIters)
+	if capped || cappedLong {
+		t.Fatalf("%s, body %v: reference hit the cycle cap", p.Name, body)
+	}
+	want := float64(long.Cycles-short.Cycles) / SteadyIters
+	if got := p.CyclesPerIter(body); got != want {
+		t.Fatalf("%s, body %v: CyclesPerIter = %v, reference (%d-%d)/%d = %v",
+			p.Name, body, got, long.Cycles, short.Cycles, SteadyIters, want)
+	}
+}
+
+// TestCyclesPerIterMatchesReference differences the reference's 64- and
+// 128-iteration runs for seeded random bodies on every equivalence
+// profile.
+func TestCyclesPerIterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	bodies := 150
+	if testing.Short() {
+		bodies = 30
+	}
+	profiles := equivProfiles()
+	for b := 0; b < bodies; b++ {
+		body := randomBody(rng)
+		for _, p := range profiles {
+			checkCyclesPerIter(t, p, body)
+		}
+	}
+}
+
 func FuzzScheduleEquivalence(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed), uint8(1+seed*16))
 	}
 	f.Add(int64(42), uint8(2), uint8(130))
+	// On the edge profile this body's states first agree in every slot
+	// but a completion time, so a period check that skipped completion
+	// times would extrapolate the wrong period.
+	f.Add(int64(-122), uint8(0x9e), uint8(4))
 	profiles := equivProfiles()
 	f.Fuzz(func(t *testing.T, seed int64, prof, iters uint8) {
 		body := randomBody(rand.New(rand.NewSource(seed)))
-		checkEquivalent(t, profiles[int(prof)%len(profiles)], body, 1+int(iters)%130)
+		p := profiles[int(prof)%len(profiles)]
+		checkEquivalent(t, p, body, 1+int(iters)%130)
+		checkCyclesPerIter(t, p, body)
 	})
 }

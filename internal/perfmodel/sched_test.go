@@ -299,4 +299,38 @@ func TestCycleCapPanicsLoudly(t *testing.T) {
 	if got := p.Schedule(body, 2); got != 1<<25+1 {
 		t.Errorf("two slow FSQRTs: %d cycles, want %d", got, 1<<25+1)
 	}
+
+	// FSQRTs holding the pipe for 1<<20 cycles settle into a one-iteration
+	// period at once, but the 65th only issues at the cap: the 64-iteration
+	// run fits and the 128-iteration one does not. Extrapolating the
+	// period must not skip past the cap.
+	q := *p
+	q.Name = "steady-sqrt"
+	q.Costs = map[Op]Cost{FSQRT: {Latency: 1, Occupancy: 1 << 20}}
+	if pi, _ := q.SteadyPeriod(body); pi == 0 {
+		t.Fatal("steady-sqrt: no period found, so this case would not test extrapolation")
+	}
+	if got := q.Schedule(body, 64); got != 63<<20+1 {
+		t.Errorf("64 steady-sqrt FSQRTs: %d cycles, want %d", got, 63<<20+1)
+	}
+	for _, r := range []struct {
+		name string
+		run  func()
+	}{
+		{"Schedule", func() { q.Schedule(body, 128) }},
+		{"CyclesPerIter", func() { q.CyclesPerIter(body) }},
+		{"SteadyTrace", func() { q.SteadyTrace(body) }},
+	} {
+		t.Run("steady/"+r.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range []string{"steady-sqrt", "2-instruction body", "over 128 iterations", "cycle cap"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("panic %q does not mention %q", msg, want)
+					}
+				}
+			}()
+			r.run()
+		})
+	}
 }

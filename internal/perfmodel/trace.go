@@ -1,10 +1,5 @@
 package perfmodel
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Scheduler introspection: the shared scheduler core of sched.go, run
 // once and read back as the full issue trace and a utilization summary —
 // the tool for understanding *why* a kernel costs what it costs (which
@@ -36,14 +31,34 @@ func (p *Profile) ScheduleTrace(body Body, iters int) ([]IssueEvent, Utilization
 	if len(body) == 0 || iters == 0 {
 		return nil, Utilization{}
 	}
-	s := newSchedCore(p, body, iters)
-	n := len(body)
+	return newSchedCore(p, body, iters).traced(iters)
+}
+
+// SteadyTrace returns ScheduleTrace(body, SteadyIters) together with
+// CyclesPerIter(body). The traced run is CyclesPerIter's shorter one, so
+// only the longer one is simulated on top of it.
+func (p *Profile) SteadyTrace(body Body) ([]IssueEvent, Utilization, float64) {
+	if len(body) == 0 {
+		return nil, Utilization{}, 0
+	}
+	s := newSchedCore(p, body, 2*SteadyIters)
+	events, util := s.traced(SteadyIters)
+	tg := [1]target{{iters: 2 * SteadyIters}}
+	if !s.steady(tg[:]) {
+		tg[0].t = s.run(2*SteadyIters, nil)
+	}
+	return events, util, float64(tg[0].t-util.Cycles) / SteadyIters
+}
+
+// traced runs iters iterations recording every instruction's issue.
+func (s *schedCore) traced(iters int) ([]IssueEvent, Utilization) {
+	n := len(s.body)
 	done := make([]int, n*iters)
 	last := s.run(iters, done)
 	events := make([]IssueEvent, len(done))
 	var util Utilization
 	for gi, d := range done {
-		op := body[gi%n].Op
+		op := s.body[gi%n].Op
 		c := s.costs[op]
 		events[gi] = IssueEvent{
 			Iter: gi / n, Index: gi % n, Op: op,
@@ -66,42 +81,4 @@ func (p *Profile) ScheduleTrace(body Body, iters int) ([]IssueEvent, Utilization
 		util.IPC = float64(len(events)) / float64(last)
 	}
 	return events, util
-}
-
-// Explain renders a human-readable cost breakdown of a body on this
-// profile: steady-state cycles/iteration, pipe utilizations, and the
-// critical few instructions with the latest completion times.
-func (p *Profile) Explain(body Body, elemsPerIter int) string {
-	const iters = 64
-	events, util := p.ScheduleTrace(body, iters)
-	var b strings.Builder
-	cpi := p.CyclesPerIter(body)
-	fmt.Fprintf(&b, "body: %d instructions (%d FP), window %d, issue %d\n",
-		len(body), body.CountFP(), p.Window, p.IssueWidth)
-	fmt.Fprintf(&b, "steady state: %.2f cycles/iter", cpi)
-	if elemsPerIter > 0 {
-		fmt.Fprintf(&b, " = %.2f cycles/element", cpi/float64(elemsPerIter))
-	}
-	b.WriteByte('\n')
-	denomFP := float64(util.Cycles * p.FPPipes)
-	denomLd := float64(util.Cycles * p.LoadPipes)
-	denomSt := float64(util.Cycles * p.StorePipes)
-	denomInt := float64(util.Cycles * p.IntPipes)
-	fmt.Fprintf(&b, "pipe utilization: FP %.0f%%  load %.0f%%  store %.0f%%  int %.0f%%  (IPC %.2f)\n",
-		100*float64(util.FPBusy)/denomFP, 100*float64(util.LoadBusy)/denomLd,
-		100*float64(util.StoreBusy)/denomSt, 100*float64(util.IntBusy)/denomInt, util.IPC)
-	// Identify the longest-latency instruction chain endpoint in a steady
-	// mid-run iteration.
-	mid := iters / 2
-	latest, latestIdx := -1, -1
-	for _, e := range events {
-		if e.Iter == mid && e.Done > latest {
-			latest = e.Done
-			latestIdx = e.Index
-		}
-	}
-	if latestIdx >= 0 {
-		fmt.Fprintf(&b, "critical endpoint: instruction %d (%s)\n", latestIdx, body[latestIdx].Op)
-	}
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package perfmodel
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestScheduleTraceMatchesSchedule(t *testing.T) {
 	// The instrumented simulation must reach the same total-cycle result
@@ -80,14 +77,34 @@ func TestTraceEmpty(t *testing.T) {
 	}
 }
 
-func TestExplainRendersBreakdown(t *testing.T) {
-	p := A64FXProfile
-	body := Body{I(LOAD), I(FMA, 0), I(FMA, 1), I(STORE, 2), I(INT), I(BRANCH)}
-	out := p.Explain(body, 8)
-	for _, want := range []string{"cycles/iter", "cycles/element", "pipe utilization", "critical endpoint"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("explain missing %q:\n%s", want, out)
+func TestSteadyTraceSharesTheShortRun(t *testing.T) {
+	// SteadyTrace is ScheduleTrace over SteadyIters plus CyclesPerIter,
+	// with the traced run doing double duty; the answers must not move.
+	bodies := []Body{
+		{I(LOAD), I(FMA, 0), I(FMA, 1), I(STORE, 2), I(INT), I(BRANCH)},
+		{IC(FMA, nil, []int{0})},
+		{I(LOAD), I(FSQRT, 0), I(STORE, 1)},
+	}
+	for _, p := range []*Profile{&A64FXProfile, &SkylakeProfile} {
+		for bi, body := range bodies {
+			events, util, cpi := p.SteadyTrace(body)
+			wantEv, wantUtil := p.ScheduleTrace(body, SteadyIters)
+			if want := p.CyclesPerIter(body); cpi != want {
+				t.Errorf("%s body %d: cycles/iter %v, want %v", p.Name, bi, cpi, want)
+			}
+			if util != wantUtil || len(events) != len(wantEv) {
+				t.Fatalf("%s body %d: utilization %+v over %d events, want %+v over %d",
+					p.Name, bi, util, len(events), wantUtil, len(wantEv))
+			}
+			for i := range events {
+				if events[i] != wantEv[i] {
+					t.Fatalf("%s body %d: event %d = %+v, want %+v", p.Name, bi, i, events[i], wantEv[i])
+				}
+			}
 		}
+	}
+	if ev, util, cpi := A64FXProfile.SteadyTrace(nil); ev != nil || util.Cycles != 0 || cpi != 0 {
+		t.Error("empty body should trace nothing")
 	}
 }
 

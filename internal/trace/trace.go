@@ -105,8 +105,7 @@ const DefaultShardEvents = 4096
 type shard struct {
 	mu       sync.Mutex
 	ring     []Event
-	next     int   // next write index
-	total    int64 // events ever written to this shard
+	total    int64 // events ever written to this shard; modulo len(ring), the next write index
 	counters map[counterKey]int64
 }
 
@@ -246,11 +245,7 @@ func Emit(ev Event) {
 	}
 	s := t.shards[shardFor(ev.TID)]
 	s.mu.Lock()
-	s.ring[s.next] = ev
-	s.next++
-	if s.next == len(s.ring) {
-		s.next = 0
-	}
+	s.ring[uint64(s.total)%uint64(len(s.ring))] = ev
 	s.total++
 	s.mu.Unlock()
 }
@@ -272,11 +267,13 @@ func Count(cat, name string, tid int, delta int64) {
 	s.mu.Unlock()
 }
 
-func shardFor(tid int) int {
+// shardFor maps a thread id onto a shard. The unsigned modulo lets the
+// compiler prove the index in bounds of the shard array.
+func shardFor(tid int) uint {
 	if tid < 0 {
 		tid = -tid
 	}
-	return tid % nShards
+	return uint(tid) % nShards
 }
 
 // snapshot merges the shards into one time-ordered view.
@@ -292,7 +289,7 @@ func (t *tracer) snapshot() *Trace {
 		// Ring order: oldest surviving event first.
 		start := 0
 		if s.total > int64(len(s.ring)) {
-			start = s.next
+			start = int(s.total % int64(len(s.ring)))
 		}
 		for i := int64(0); i < kept; i++ {
 			tr.Events = append(tr.Events, s.ring[(start+int(i))%len(s.ring)])
